@@ -432,7 +432,8 @@ def run_kv_workload(backend_name, spec, fit_fraction, *, duration=5.0,
 
     ``cold_start=True`` begins with the whole store swapped out (the
     post-pressure recovery scenario of Figure 9); otherwise the run
-    starts with the hottest pages resident.  All tuning arguments are
+    starts with an empty resident set and nothing swapped out, so each
+    page's first touch is a demand-zero fault.  All tuning arguments are
     keyword-only; see :func:`run_paging_workload` for
     ``fault_schedule``, ``context`` and ``fast_path``.  KV ops stay
     closed-loop under ``fast_path`` (the window bookkeeping needs the

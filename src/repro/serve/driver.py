@@ -33,21 +33,24 @@ and each class's operations are flattened into one
 :class:`~repro.workloads.batch.AccessBatch` plus per-request bounds
 (:func:`~repro.workloads.batch.flatten_requests`).  Arrivals and
 operations draw from *separate* named RNG streams, so the fast and
-event paths consume identical randomness.  Under ``fast_path``:
+event paths consume identical randomness.  Under ``fast_path`` each
+request's page burst runs through
+:meth:`~repro.swap.base.VirtualMemory.run_batch` over its
+``(start, stop)`` slice of the class batch (the flat-path kernel,
+byte-identical by its equivalence contract, with zero per-request
+array allocation).
 
-* each request's page burst runs through
-  :meth:`~repro.swap.base.VirtualMemory.run_batch` over its
-  ``(start, stop)`` slice of the class batch (the flat-path kernel,
-  byte-identical by its equivalence contract, with zero per-request
-  array allocation);
-* idle waits until the next arrival and the per-request pending-time
-  flush are applied as direct clock jumps via
-  :func:`~repro.sim.flatpath.inline_jump`, but only when the resulting
-  timeout would pop *strictly before* everything already on the event
-  heap and no bulk hold is active — a strict winner fires with nothing
-  able to observe the wait, so adding to the clock is the identical
-  float computation (``env._seq`` is deliberately not consumed, which
-  shifts all later tie-break sequence numbers uniformly).
+On both paths, idle waits until the next arrival and the per-request
+pending-time flush are applied as guarded clock jumps
+(:meth:`~repro.sim.engine.Environment.jump`, here through its
+:func:`~repro.sim.flatpath.inline_jump` alias): only when no bulk hold
+is active, the resulting timeout would pop *strictly before*
+everything already on the event heap with no other callback of the
+current step still to run, and the landing time does not pass the
+current ``run(until=T)`` deadline.  A strict winner fires
+with nothing able to observe the wait, so adding to the clock is the
+identical float computation; otherwise the driver yields the ordinary
+timeout.
 
 Admission decisions see only arrival timestamps, queue depths and the
 clock at drain moments — identical on both paths — so shedding
@@ -273,7 +276,7 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
                 if pos >= total:
                     break  # every arrival drained and served
                 delay = (epoch + times[pos]) - env.now
-                if not (fast_path and inline_jump(env, delay)):
+                if not inline_jump(env, delay):
                     yield env.timeout(delay)
                 continue
             ordinal, arrival = queues[ready].popleft()
@@ -296,12 +299,9 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
             # Charge the accumulated cheap-path time now: completion
             # latency must include it (the event path's lazy
             # accumulation is an accounting trick, not a time machine).
-            pending = mmu._pending_time
-            if pending > 0.0:
-                if fast_path and inline_jump(env, pending):
-                    mmu._pending_time = 0.0
-                else:
-                    yield from mmu._flush_pending()
+            wait = mmu.charge_pending()
+            if wait is not None:
+                yield wait
             if span is not None:
                 tracer.end(span, accesses=stop - start)
             accounts[ready].record_completion(env.now - arrival)

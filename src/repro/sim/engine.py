@@ -40,6 +40,13 @@ class Environment:
         #: intermediate state that bulk execution is not allowed to
         #: overlap.  Managed via :meth:`hold_bulk` / :meth:`release_bulk`.
         self.bulk_holds = 0
+        #: The latest time :meth:`jump` may land on: the deadline of a
+        #: numeric ``run(until=T)``, ``-inf`` once a ``run(until=event)``
+        #: target has fired, ``inf`` otherwise.
+        self._jump_limit = float("inf")
+        #: Positive while :meth:`step` runs a callback that other
+        #: callbacks of the same event follow (no jump may pass them).
+        self._shared_steps = 0
         #: The run's tracer: the shared no-op :data:`~repro.trace.tracer.
         #: NULL_TRACER` unless a trace session is active.  Models guard
         #: hot paths with ``if env.tracer.enabled:`` so disabled runs
@@ -80,6 +87,41 @@ class Environment:
             raise SimulationError("release_bulk without a matching hold")
         self.bulk_holds -= 1
 
+    # -- event elision -----------------------------------------------------
+
+    def jump(self, delay):
+        """Advance the clock by ``delay`` without an event, when nothing
+        could observe the wait; returns False (clock untouched) so the
+        caller yields ``timeout(delay)`` instead.
+
+        A timeout whose time pops *strictly* before every heap entry
+        fires next with nothing able to interleave (a strict compare
+        wins every priority/sequence tie-break), so adding ``delay`` to
+        the clock is the identical float computation.  Three guards
+        keep it that way:
+
+        * no bulk hold is open (a held protocol window runs on events);
+        * nothing else is due first: the landing time is strictly
+          before the earliest heap entry, and no other callback of the
+          event being fired is still to run at the current time;
+        * the landing time does not pass the current run's deadline
+          (the timeout would not have fired inside this ``run()``).
+
+        ``self._seq`` is deliberately not consumed: the skipped draw
+        shifts every later tie-break sequence number by the same
+        amount, which preserves the relative order of all heap entries.
+        """
+        if delay < 0 or self.bulk_holds or self._shared_steps:
+            return False
+        now = self.now + delay
+        if now > self._jump_limit:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= now:
+            return False
+        self.now = now
+        return True
+
     # -- scheduling --------------------------------------------------------
 
     def _push(self, event, delay=0.0, priority=PRIORITY_NORMAL):
@@ -99,6 +141,14 @@ class Environment:
         when, _priority, _seq, event = heapq.heappop(self._heap)
         self.now = when
         callbacks, event.callbacks = event.callbacks, None
+        if len(callbacks) > 1:
+            # Every callback but the last has more of this step due at
+            # ``when`` after it, so none of them may jump the clock.
+            self._shared_steps += 1
+            for callback in callbacks[:-1]:
+                callback(event)
+            self._shared_steps -= 1
+            callbacks = callbacks[-1:]
         for callback in callbacks:
             callback(event)
 
@@ -123,8 +173,14 @@ class Environment:
             raise ValueError(
                 "until ({}) is in the past (now={})".format(deadline, self.now)
             )
+        # A jump past the deadline would let a process run on beyond
+        # it, where its timeout would have waited for the next run().
+        # (A limit left behind by an exception only refuses jumps,
+        # which is always safe.)
+        limit, self._jump_limit = self._jump_limit, deadline
         while self._heap and self.peek() <= deadline:
             self.step()
+        self._jump_limit = limit
         self.now = deadline
         return None
 
@@ -134,15 +190,24 @@ class Environment:
             # Already fired; report its outcome directly.
             finished.append(event)
         else:
+            # The run stops after the step that fires ``event``: from
+            # its first callback on, a waiter resumed in that step must
+            # leave its timeouts on the heap rather than jump.
+            event.callbacks.insert(0, self._close_jumps)
             event.callbacks.append(finished.append)
+        limit = self._jump_limit
         while not finished:
             if not self._heap:
                 raise EmptySchedule(
                     "event {!r} can never fire: schedule is empty".format(event)
                 )
             self.step()
+        self._jump_limit = limit
         if event._ok:
             return event._value
         # Mark as handled for Process events so defused errors do not
         # re-raise; then surface the failure to the caller.
         raise event._value
+
+    def _close_jumps(self, _event):
+        self._jump_limit = float("-inf")

@@ -96,11 +96,19 @@ class Timeout(Event):
     def __init__(self, env, delay, value=None, name=None):
         if delay < 0:
             raise ValueError("negative delay: {!r}".format(delay))
-        super().__init__(env, name=name or "Timeout({})".format(delay))
+        # Event.__init__ inlined: timeouts are the engine's hottest
+        # allocation, and their label is only built when asked for.
+        self.env = env
+        self._name = name
+        self.callbacks = []
         self.delay = delay
         self._ok = True
         self._value = value
         env._push(self, delay=delay)
+
+    @property
+    def name(self):
+        return self._name or "Timeout({})".format(self.delay)
 
 
 class ConditionValue(dict):

@@ -3,8 +3,8 @@
 The event engine charges a paging access through a generator resume per
 access, even though the overwhelmingly common cases — a resident hit, a
 swap-cache promote with clean evictions, a demand-zero fault with an
-empty schedule — never suspend, or suspend only to fire a single
-timeout that nothing can interleave with.  :func:`advance` executes
+empty schedule — never suspend, or only flush pending time through a
+guarded clock jump.  :func:`advance` executes
 such stretches as flat arithmetic over a pre-materialized address
 array (in the style of trace-driven cycle accounting: a running
 ``avail_cycle`` per device instead of one event object per request),
@@ -17,23 +17,26 @@ Equivalence contract (checked by the golden and property tests):
 * only zero-yield access shapes are inlined — resident hits, and
   swap-cache promotes whose evictions are all clean;
 * a demand-zero minor fault (which flushes pending time through one
-  timeout) is inlined only when that timeout would pop strictly before
-  every event already on the heap: it then fires with nothing able to
-  observe the wait, so adding to the clock directly is the identical
-  float computation (a strict compare wins every tie-break, whatever
-  the other event's priority or sequence number);
+  timeout) is inlined only when
+  :meth:`~repro.sim.engine.Environment.jump` takes that flush as a
+  guarded clock jump: no bulk hold, a landing time strictly before
+  every event already on the heap with no other callback of the
+  current step still to run, and no later than the current
+  ``run(until=T)`` deadline.  The timeout would then fire with nothing
+  able to observe the wait, so adding to the clock directly is the
+  identical float computation (a strict compare wins every tie-break,
+  whatever the other event's priority or sequence number).  The same
+  jump serves every pending-time flush on the event path too
+  (:class:`~repro.swap.base.VirtualMemory`), so neither path pays a
+  timeout that nothing can observe;
 * pending-time accumulation replicates the event path's exact float
   addition order (one ``+=`` per component per access — never a
   factored ``n * (a + b)``);
 * everything else — major faults, dirty eviction I/O, fault-injection
   windows, migration epochs (``env.bulk_holds``), retries/timeouts
-  (which imply a non-empty heap) — is a *boundary*: the kernel stops
-  before touching the access and hands it back to the event engine.
-
-``env._seq`` is deliberately not consumed for inlined timeouts: the
-skipped draws shift every later event's tie-break sequence number by
-the same amount, which preserves the relative order of all heap
-entries and therefore the event-engine behaviour.
+  (which imply a non-empty heap), a refused jump — is a *boundary*:
+  the kernel stops before touching the access and hands it back to
+  the event engine.
 """
 
 __all__ = ["FlatPathStats", "advance", "inline_jump"]
@@ -42,7 +45,7 @@ __all__ = ["FlatPathStats", "advance", "inline_jump"]
 BOUNDARY_REASONS = (
     "bulk-hold",      # a held protocol window (e.g. staged migration)
     "fault-window",   # inside / about to enter a fault-injection window
-    "sched-events",   # heap not empty: a flush could interleave
+    "sched-events",   # env.jump refused a flush: an event could interleave
     "major-fault",    # backend swap-in I/O
     "eviction-io",    # a dirty (or invalid-copy) victim needs swap-out
 )
@@ -73,26 +76,9 @@ class FlatPathStats:
 
 
 def inline_jump(env, delay):
-    """Advance the clock by ``delay`` without an event, when nothing
-    could observe the wait; returns False to request event fallback.
-
-    The same strict-compare argument :func:`advance` uses for inlined
-    demand-zero flushes, exposed for fast-path callers (the serving
-    driver's idle waits and pending-time flushes): the jump is legal
-    only when no bulk hold is open and the landing time pops strictly
-    before everything already on the event heap — a strict winner
-    fires with nothing able to interleave, so adding to the clock is
-    the identical float computation.  ``env._seq`` is deliberately not
-    consumed (see the module docstring).
-    """
-    if env.bulk_holds:
-        return False
-    new_now = env.now + delay
-    heap = env._heap
-    if heap and heap[0][0] <= new_now:
-        return False
-    env.now = new_now
-    return True
+    """:meth:`~repro.sim.engine.Environment.jump` under its flat-path
+    name, for callers that import or wrap it from this module."""
+    return env.jump(delay)
 
 
 def _window_state(windows, now):
@@ -148,16 +134,11 @@ def advance(vm, addresses, writes, start, stop=None):
     # ``(0.0 + compute) + fault_overhead`` — a constant (``0.0 + x``
     # is ``x``), so runs of first touches skip the flush arithmetic.
     zero_flush = compute + fault_overhead
-    zero_flush_positive = zero_flush > 0.0
     # The resident set only ever holds this VM's pages, so a working
     # set that fits outright can never evict — skip the checks.
     evict_possible = len(pages) > capacity
-    heap = env._heap
+    jump = env.jump
     pending = vm._pending_time
-    # Nothing observes the clock inside a bulk stretch (no process can
-    # run, and the only inline backend call — ``discard`` — is
-    # timeless), so the clock lives in a local until the epilogue.
-    now = env.now
 
     tracer = env.tracer
     span = tracer.begin("flatpath.bulk") if tracer.enabled else None
@@ -201,18 +182,17 @@ def advance(vm, addresses, writes, start, stop=None):
                 reason = "eviction-io"
                 break
             if pending == 0.0:
-                new_now = now + zero_flush if zero_flush_positive else now
+                flush = zero_flush
             else:
                 flush = pending + compute
                 flush += fault_overhead
-                new_now = now + flush if flush > 0.0 else now
-            if heap and heap[0][0] <= new_now:
-                reason = "sched-events"
-                break
-            if new_now >= horizon:
-                reason = "fault-window"
-                break
-            now = new_now
+            if flush > 0.0:
+                if env.now + flush >= horizon:
+                    reason = "fault-window"
+                    break
+                if not jump(flush):
+                    reason = "sched-events"
+                    break
             pending = 0.0
             page = pages[page_id]
             if writes[index]:
@@ -262,24 +242,21 @@ def advance(vm, addresses, writes, start, stop=None):
             resident[page_id] = page
         else:
             # Demand-zero minor fault: flushes pending time through one
-            # timeout, advancing the clock.  Inline only when that
-            # timeout would pop strictly before anything already on the
-            # heap (so nothing can interleave — a strict compare wins
-            # every priority/seq tie-break), and only if the jump stays
-            # clear of the next fault-injection window.
+            # timeout, advancing the clock.  Inline only if the jump
+            # stays clear of the next fault-injection window and
+            # ``env.jump`` takes it (nothing could observe the wait).
             if pending == 0.0:
-                new_now = now + zero_flush if zero_flush_positive else now
+                flush = zero_flush
             else:
                 flush = pending + compute
                 flush += fault_overhead
-                new_now = now + flush if flush > 0.0 else now
-            if heap and heap[0][0] <= new_now:
-                reason = "sched-events"
-                break
-            if new_now >= horizon:
-                reason = "fault-window"
-                break
-            now = new_now
+            if flush > 0.0:
+                if env.now + flush >= horizon:
+                    reason = "fault-window"
+                    break
+                if not jump(flush):
+                    reason = "sched-events"
+                    break
             pending = 0.0
             if evict_possible:
                 while len(resident) >= capacity:
@@ -294,7 +271,6 @@ def advance(vm, addresses, writes, start, stop=None):
     else:
         index = total
 
-    env.now = now
     vm._pending_time = pending
     accesses = index - start
     demand_zero = (

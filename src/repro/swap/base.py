@@ -140,9 +140,9 @@ class VirtualMemory:
         self.cpu = cpu or CpuSpec()
         self.prefetch_capacity = prefetch_capacity
         self.compute_per_access = compute_per_access
-        #: Optional :class:`repro.metrics.stats.Histogram`: when set,
-        #: every major fault's service time is recorded, so experiments
-        #: can report tail latency per backend.
+        #: Optional :class:`repro.trace.histogram.LatencyHistogram`:
+        #: when set, every major fault's service time is recorded, so
+        #: experiments can report tail latency per backend.
         self.fault_histogram = fault_histogram
         self.resident = OrderedDict()
         self.prefetch = OrderedDict()
@@ -191,7 +191,9 @@ class VirtualMemory:
 
         # Real fault.
         self._pending_time += self.cpu.page_fault_overhead + self.cpu.context_switch
-        yield from self._flush_pending()
+        wait = self.charge_pending()
+        if wait is not None:
+            yield wait
         yield from self._make_room()
         if page_id in self.swapped_valid:
             self.stats.major_faults += 1
@@ -278,16 +280,29 @@ class VirtualMemory:
             index += 1
 
     def flush(self):
-        """Generator: charge accumulated cheap-path time (end of run)."""
-        yield from self._flush_pending()
+        """Generator: charge accumulated cheap-path time and drain the
+        backend's buffered writes (end of an op or a run)."""
+        wait = self.charge_pending()
+        if wait is not None:
+            yield wait
         yield from self.backend.drain()
 
-    # -- internals ----------------------------------------------------------
+    def charge_pending(self):
+        """Charge the accumulated cheap-path time to the clock now.
 
-    def _flush_pending(self):
-        if self._pending_time > 0.0:
-            pending, self._pending_time = self._pending_time, 0.0
-            yield self.env.timeout(pending)
+        Returns ``None`` when there was nothing to charge or
+        :meth:`~repro.sim.engine.Environment.jump` applied it (nothing
+        could observe the wait); otherwise the timeout the calling
+        process must yield.
+        """
+        pending = self._pending_time
+        if pending > 0.0:
+            self._pending_time = 0.0
+            if not self.env.jump(pending):
+                return self.env.timeout(pending)
+        return None
+
+    # -- internals ----------------------------------------------------------
 
     def _insert_resident(self, page, write):
         if write:

@@ -352,7 +352,8 @@ class RemoteRdmaTier(Tier):
 
     def drain(self):
         """Generator: flush any partially filled remote batch."""
-        yield from self._flush_batch()
+        if self._pending:
+            yield from self._flush_batch()
 
     def _one_sided(self, target, nbytes, write):
         region = self.directory.receive_region_of(target)
