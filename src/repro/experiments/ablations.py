@@ -369,7 +369,8 @@ def _compute_ballooning(spec):
         yield from backend.setup()
         mmu.stats.start_time = cluster.env.now
         for page_id, is_write in workload.iter_accesses(cluster.rng.stream("t")):
-            yield from mmu.access(page_id, write=is_write)
+            if not mmu.hit(page_id, is_write):
+                yield from mmu.access(page_id, write=is_write)
         yield from mmu.flush()
         mmu.stats.end_time = cluster.env.now
 
@@ -517,7 +518,8 @@ def _run_paging_tenants(spec, tenants, seed, core_concurrency, sm_fraction):
             for page_id, is_write in spec.iter_accesses(
                 cluster.rng.stream("trace{}".format(index))
             ):
-                yield from mmu.access(page_id, write=is_write)
+                if not mmu.hit(page_id, is_write):
+                    yield from mmu.access(page_id, write=is_write)
             yield from mmu.flush()
             mmu.stats.end_time = cluster.env.now
 

@@ -111,7 +111,8 @@ def _compute_tier_ladder(spec):
         yield from backend.setup()
         mmu.stats.start_time = cluster.env.now
         for page_id, is_write in workload.iter_accesses(cluster.rng.stream("trace")):
-            yield from mmu.access(page_id, write=is_write)
+            if not mmu.hit(page_id, is_write):
+                yield from mmu.access(page_id, write=is_write)
         yield from mmu.flush()
         mmu.stats.end_time = cluster.env.now
 

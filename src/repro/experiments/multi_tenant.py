@@ -79,7 +79,8 @@ def _run_system(system, spec, tenants, seed):
             mmu.stats.start_time = cluster.env.now
             trace_rng = cluster.rng.stream("trace{}".format(index))
             for page_id, is_write in spec.iter_accesses(trace_rng):
-                yield from mmu.access(page_id, write=is_write)
+                if not mmu.hit(page_id, is_write):
+                    yield from mmu.access(page_id, write=is_write)
             yield from mmu.flush()
             mmu.stats.end_time = cluster.env.now
 

@@ -231,7 +231,8 @@ class KvRunResult(RunResult):
     op_latency: dict = field(default_factory=dict)
     #: The RunContext this run recorded into (not serialized).
     context: RunContext = field(default=None, repr=False, compare=False)
-    #: Whether the run drove the flat-path kernel (not serialized).
+    #: The ``fast_path`` argument the run was called with; it
+    #: selects no other code for KV runs (not serialized).
     fast_path: bool = field(default=False, compare=False)
 
     kind = "kv"
@@ -394,8 +395,10 @@ def run_paging_workload(backend_name, spec, fit_fraction, *, seed=0,
             batch = materialize(spec, rng.stream("trace"))
             yield from mmu.run_batch(batch)
         else:
+            hit = mmu.hit
             for page_id, is_write in spec.iter_accesses(rng.stream("trace")):
-                yield from mmu.access(page_id, write=is_write)
+                if not hit(page_id, is_write):
+                    yield from mmu.access(page_id, write=is_write)
         yield from mmu.flush()
         mmu.stats.end_time = cluster.env.now
 
@@ -435,9 +438,13 @@ def run_kv_workload(backend_name, spec, fit_fraction, *, duration=5.0,
     starts with an empty resident set and nothing swapped out, so each
     page's first touch is a demand-zero fault.  All tuning arguments are
     keyword-only; see :func:`run_paging_workload` for
-    ``fault_schedule``, ``context`` and ``fast_path``.  KV ops stay
-    closed-loop under ``fast_path`` (the window bookkeeping needs the
-    clock after every op), so only each op's page burst is bulked.
+    ``fault_schedule`` and ``context``.  Each op's pages run through
+    :meth:`~repro.swap.base.VirtualMemory.hit`, with
+    :meth:`~repro.swap.base.VirtualMemory.access` only on a miss, on
+    either path: an op touches one or two pages, too few to repay the
+    flat-path kernel's entry cost.  ``fast_path`` therefore selects no
+    other code here; it only tags the result and is counted by the
+    run's :class:`RunContext`.
     ``record_op_latency=True`` times every completed op (access burst
     plus flush) into a histogram and fills ``result.op_latency`` with
     p50/p99/p999 — the tail a fault window stretches; op timings are
@@ -483,8 +490,6 @@ def run_kv_workload(backend_name, spec, fit_fraction, *, duration=5.0,
         op_histogram = LatencyHistogram(least=1e-7, buckets=32)
 
     def client():
-        if fast_path:
-            from repro.sim import flatpath
         yield from backend.setup()
         if cold_start:
             # Everything starts swapped out: fill and forcibly evict.
@@ -496,32 +501,13 @@ def run_kv_workload(backend_name, spec, fit_fraction, *, duration=5.0,
         window_end = start + window
         window_ops = 0
         operations = spec.iter_operations(rng.stream("ops"))
+        hit = mmu.hit
         while cluster.env.now - start < duration:
             first_page, count, is_write = next(operations)
             op_began = cluster.env.now
-            if fast_path:
-                # Bulk the op's page burst; fall back to the event
-                # engine for whatever the kernel would not inline.  An
-                # op whose first page would immediately major-fault
-                # (cold starts are all such ops) skips the kernel.
-                if (
-                    first_page not in mmu.resident
-                    and first_page not in mmu.prefetch
-                    and first_page in mmu.swapped_valid
-                ):
-                    index = 0
-                else:
-                    index, _reason = flatpath.advance(
-                        mmu,
-                        range(first_page, first_page + count),
-                        (is_write,) * count,
-                        0,
-                    )
-                for offset in range(index, count):
-                    yield from mmu.access(first_page + offset, write=is_write)
-            else:
-                for offset in range(count):
-                    yield from mmu.access(first_page + offset, write=is_write)
+            for page_id in range(first_page, first_page + count):
+                if not hit(page_id, is_write):
+                    yield from mmu.access(page_id, write=is_write)
             yield from mmu.flush()
             if op_histogram is not None:
                 op_histogram.record(cluster.env.now - op_began)

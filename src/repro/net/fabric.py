@@ -48,6 +48,7 @@ class Fabric:
         self._down_nodes = set()
         self._down_links = set()  # directed (src, dst) pairs
         self._degraded = {}  # node_id -> latency/bandwidth multiplier
+        self._lane_orders = {}  # (src, dst) -> (lane, lane) in acquire order
         self._core = (
             Resource(env, capacity=core_concurrency, name="fabric-core")
             if core_concurrency > 0 else None
@@ -264,15 +265,22 @@ class Fabric:
         self._check_path(src, dst)
         src_nic = self._nics[src]
         dst_nic = self._nics[dst]
-        # Acquire lanes in a canonical global order so that concurrent
-        # transfers can never hold-and-wait in a cycle (deadlock).
-        lanes = sorted(
-            [("{}:tx".format(src), src_nic.tx), ("{}:rx".format(dst), dst_nic.rx)],
-            key=lambda pair: pair[0],
-        )
+        lanes = self._lane_orders.get((src, dst))
+        if lanes is None:
+            # Acquire lanes in a canonical global order so that
+            # concurrent transfers can never hold-and-wait in a cycle
+            # (deadlock).  A node's NIC is never replaced, so the order
+            # is worked out once per pair.
+            keyed = sorted(
+                [("{}:tx".format(src), src_nic.tx),
+                 ("{}:rx".format(dst), dst_nic.rx)],
+                key=lambda pair: pair[0],
+            )
+            lanes = tuple(lane for _key, lane in keyed)
+            self._lane_orders[(src, dst)] = lanes
         granted = []
         try:
-            for _key, lane in lanes:
+            for lane in lanes:
                 request = lane.request()
                 yield request
                 granted.append((lane, request))

@@ -23,8 +23,8 @@ it acquires no service spans — and is billed to the accountant's
 :class:`~repro.serve.admission.NoShed` policy reproduces the
 pre-admission driver exactly.
 
-Two-speed execution
--------------------
+Bulk schedules, per-request hits
+--------------------------------
 
 The whole schedule is pre-materialized in bulk: class arrival arrays
 are generated and superposed by :func:`repro.serve.arrivals.aggregate`
@@ -32,17 +32,18 @@ are generated and superposed by :func:`repro.serve.arrivals.aggregate`
 and each class's operations are flattened into one
 :class:`~repro.workloads.batch.AccessBatch` plus per-request bounds
 (:func:`~repro.workloads.batch.flatten_requests`).  Arrivals and
-operations draw from *separate* named RNG streams, so the fast and
-event paths consume identical randomness.  Under ``fast_path`` each
-request's page burst runs through
-:meth:`~repro.swap.base.VirtualMemory.run_batch` over its
-``(start, stop)`` slice of the class batch (the flat-path kernel,
-byte-identical by its equivalence contract, with zero per-request
-array allocation).
+operations draw from *separate* named RNG streams.  Each request's
+pages — its ``(start, stop)`` slice of the class batch, with zero
+per-request array allocation — run through
+:meth:`~repro.swap.base.VirtualMemory.hit`, with
+:meth:`~repro.swap.base.VirtualMemory.access` only on a miss.  A
+request touches one or two pages, too few to repay the flat-path
+kernel's entry cost, so ``fast_path`` selects no other code here; it
+only tags the result.
 
-On both paths, idle waits until the next arrival and the per-request
-pending-time flush are applied as guarded clock jumps
-(:meth:`~repro.sim.engine.Environment.jump`, here through its
+Idle waits until the next arrival and the per-request pending-time
+flush are applied as guarded clock jumps
+(:meth:`~repro.sim.engine.Environment.jump`, the idle wait through its
 :func:`~repro.sim.flatpath.inline_jump` alias): only when no bulk hold
 is active, the resulting timeout would pop *strictly before*
 everything already on the event heap with no other callback of the
@@ -53,8 +54,8 @@ identical float computation; otherwise the driver yields the ordinary
 timeout.
 
 Admission decisions see only arrival timestamps, queue depths and the
-clock at drain moments — identical on both paths — so shedding
-preserves the equivalence contract.
+clock at drain moments, so shedding is as deterministic as the rest
+of the run.
 
 Everything else — chaos windows, backend retries, fault-driver events
 on the heap — falls back to the ordinary event engine, so serving
@@ -122,7 +123,8 @@ class ServingRunResult(RunResult):
     latency_stats: list = field(default_factory=list)
     #: The RunContext this run recorded into (not serialized).
     context: RunContext = field(default=None, repr=False, compare=False)
-    #: Whether the run drove the flat-path kernel (not serialized).
+    #: The ``fast_path`` argument the run was called with; it
+    #: selects no other code for serving runs (not serialized).
     fast_path: bool = field(default=False, compare=False)
 
     kind = "serving"
@@ -153,7 +155,11 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
     requests arriving late in a collapsed system simply complete (and
     miss their SLO) late.  ``admission`` is an
     :class:`~repro.serve.admission.AdmissionPolicy` (default: admit
-    everything).
+    everything).  Each request's pages are tried as resident hits first
+    and run through the event engine only on a miss; ``fast_path``
+    selects no other code (a request is one or two pages, too few for
+    the flat-path kernel) and only tags the result and its
+    :class:`~repro.experiments.runner.RunContext`.
     """
     if not 0.0 < fit_fraction <= 1.0:
         raise ValueError("fit_fraction must be in (0, 1]")
@@ -233,6 +239,7 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
         #: Next request ordinal per class (indexes the bounds arrays).
         ordinals = [0] * len(mix)
         tracer = env.tracer
+        hit = mmu.hit
         while True:
             # Admission drain: offer the policy every request whose
             # arrival time the clock has passed, in merged order.
@@ -288,14 +295,13 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
                              tenant_class=ready, request=ordinal)
                 if tracer.enabled else None
             )
-            if fast_path:
-                yield from mmu.run_batch(batches[ready], start, stop)
-            else:
-                addresses = batches[ready].addresses
-                writes = batches[ready].writes
-                for offset in range(start, stop):
-                    yield from mmu.access(addresses[offset],
-                                          write=writes[offset])
+            addresses = batches[ready].addresses
+            writes = batches[ready].writes
+            for offset in range(start, stop):
+                page_id = addresses[offset]
+                write = writes[offset]
+                if not hit(page_id, write):
+                    yield from mmu.access(page_id, write=write)
             # Charge the accumulated cheap-path time now: completion
             # latency must include it (the event path's lazy
             # accumulation is an accounting trick, not a time machine).

@@ -98,7 +98,8 @@ class Environment:
         fires next with nothing able to interleave (a strict compare
         wins every priority/sequence tie-break), so adding ``delay`` to
         the clock is the identical float computation.  Three guards
-        keep it that way:
+        keep it that way (the first, the second's shared-step part and
+        the third are :meth:`_unobserved`):
 
         * no bulk hold is open (a held protocol window runs on events);
         * nothing else is due first: the landing time is strictly
@@ -111,16 +112,29 @@ class Environment:
         shifts every later tie-break sequence number by the same
         amount, which preserves the relative order of all heap entries.
         """
-        if delay < 0 or self.bulk_holds or self._shared_steps:
+        if delay < 0:
             return False
         now = self.now + delay
-        if now > self._jump_limit:
+        if not self._unobserved(now):
             return False
         heap = self._heap
         if heap and heap[0][0] <= now:
             return False
         self.now = now
         return True
+
+    def _unobserved(self, when):
+        """The guards :meth:`jump` and a process's fire-next resume
+        (:meth:`~repro.sim.process.Process._resume`) share before they
+        move the clock to ``when`` without a :meth:`step`: no bulk hold
+        is open, no other callback of the current step is still to
+        run, and ``when`` does not pass the run's deadline.  Each
+        caller adds its own heap check."""
+        return (
+            not self.bulk_holds
+            and not self._shared_steps
+            and when <= self._jump_limit
+        )
 
     # -- scheduling --------------------------------------------------------
 

@@ -23,12 +23,20 @@ class Event:
         Optional label used in ``repr`` for debugging.
     """
 
+    __slots__ = ("env", "_name", "callbacks", "_value", "_ok")
+
     def __init__(self, env, name=None):
         self.env = env
-        self.name = name
+        self._name = name
         self.callbacks = []
         self._value = _PENDING
         self._ok = None
+
+    @property
+    def name(self):
+        """The event's label (``None`` unless one was given); kinds
+        with a derived label build it here, only when it is read."""
+        return self._name
 
     def __repr__(self):
         label = self.name or self.__class__.__name__
@@ -93,6 +101,8 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a relative simulated ``delay``."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env, delay, value=None, name=None):
         if delay < 0:
             raise ValueError("negative delay: {!r}".format(delay))
@@ -117,6 +127,8 @@ class ConditionValue(dict):
 
 class _Condition(Event):
     """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+
+    __slots__ = ("events", "_remaining")
 
     def __init__(self, env, events, name=None):
         super().__init__(env, name=name)
@@ -158,12 +170,16 @@ class _Condition(Event):
 class AllOf(_Condition):
     """Succeeds when *all* sub-events succeed; fails fast on any failure."""
 
+    __slots__ = ()
+
     def _satisfied(self):
         return self._remaining == 0
 
 
 class AnyOf(_Condition):
     """Succeeds as soon as *any* sub-event succeeds (or fails on a failure)."""
+
+    __slots__ = ()
 
     def _satisfied(self):
         return self._remaining < len(self.events) or not self.events

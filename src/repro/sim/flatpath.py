@@ -12,6 +12,15 @@ mutating the *same* :class:`~repro.swap.base.VirtualMemory` state in
 the *same* order, so a run that mixes both speeds is bit-identical to
 a pure event-engine run.
 
+Its one caller is :meth:`~repro.swap.base.VirtualMemory.run_batch`,
+which serves pre-materialized paging traces
+(``run_paging_workload(..., fast_path=True)``): long stretches that
+repay the kernel's fixed entry cost.  Request loops — closed-loop KV
+ops and open-loop serving requests, one or two pages each — do not
+enter it; they try :meth:`~repro.swap.base.VirtualMemory.hit` (the
+resident hit as a plain call) and run the ``access`` generator only on
+a miss.
+
 Equivalence contract (checked by the golden and property tests):
 
 * only zero-yield access shapes are inlined — resident hits, and

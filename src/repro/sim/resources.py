@@ -29,9 +29,15 @@ from repro.sim.events import Event
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource):
-        super().__init__(resource.env, name="request:{}".format(resource.name))
+        super().__init__(resource.env)
         self.resource = resource
+
+    @property
+    def name(self):
+        return "request:{}".format(self.resource.name)
 
     def __enter__(self):
         return self
@@ -93,6 +99,8 @@ class Resource:
 
 class PriorityRequest(Request):
     """A claim carrying a priority (lower value is served first)."""
+
+    __slots__ = ("priority",)
 
     def __init__(self, resource, priority):
         super().__init__(resource)

@@ -161,23 +161,46 @@ class VirtualMemory:
 
     # -- main entry point ------------------------------------------------------
 
+    def hit(self, page_id, write=False):
+        """One access to ``page_id`` if it is resident; returns whether
+        it was.
+
+        The resident hit is the one access shape that never suspends,
+        so it is a plain call: request loops try it first and run
+        :meth:`access` only on a miss (``if not mmu.hit(p, w): yield
+        from mmu.access(p, write=w)``), sparing a generator per hit.
+        :meth:`access` starts with it too, so this is the single
+        definition of a hit.  On a miss it returns ``False`` and
+        touches nothing.
+        """
+        resident = self.resident
+        if page_id not in resident:
+            return False
+        stats = self.stats
+        stats.accesses += 1
+        # Same float addition order as every other access shape:
+        # compute first, then the hit cost.
+        self._pending_time = (
+            self._pending_time + self.compute_per_access
+        ) + self.HIT_TIME
+        resident.move_to_end(page_id)
+        stats.resident_hits += 1
+        if write:
+            page = resident[page_id]
+            page.dirty = True
+            # Writing invalidates any swap-cache copy.
+            if page_id in self.swapped_valid:
+                self.swapped_valid.discard(page_id)
+                self.backend.discard(page)
+        return True
+
     def access(self, page_id, write=False):
         """Generator: one memory access; charges whatever it costs."""
+        if self.hit(page_id, write):
+            return
         self.stats.accesses += 1
         self._pending_time += self.compute_per_access
         page = self.pages[page_id]
-
-        if page_id in self.resident:
-            self.resident.move_to_end(page_id)
-            self._pending_time += self.HIT_TIME
-            self.stats.resident_hits += 1
-            if write:
-                page.dirty = True
-                # Writing invalidates any swap-cache copy.
-                if page_id in self.swapped_valid:
-                    self.swapped_valid.discard(page_id)
-                    self.backend.discard(page)
-            return
 
         if page_id in self.prefetch:
             # Swap-cache hit: promote without backend I/O.

@@ -107,3 +107,50 @@ def test_nested_processes_compose():
 
     assert env.run(until=env.process(top())) == 60
     assert env.now == 3.0
+
+
+def test_derived_labels_read_as_before():
+    from repro.sim.resources import PriorityResource, Resource
+
+    env = Environment()
+
+    def worker():
+        yield env.timeout(1)
+
+    env.process(worker(), name="worker")
+    start = env._heap[0][3]
+    assert start.name == "init:worker"
+    assert repr(start) == "<init:worker ok>"
+    disk = Resource(env, name="disk")
+    granted = disk.request()
+    queued = disk.request()
+    assert granted.name == "request:disk"
+    assert repr(granted) == "<request:disk ok>"
+    assert repr(queued) == "<request:disk pending>"
+    nic = PriorityResource(env, name="nic")
+    assert repr(nic.request(priority=2)) == "<request:nic ok>"
+    assert env.event(name="gate").name == "gate"
+    assert env.event().name is None
+
+
+def test_event_kinds_carry_no_instance_dict():
+    from repro.sim.resources import PriorityResource, Resource
+
+    env = Environment()
+
+    def idle():
+        yield env.timeout(0)
+
+    process = env.process(idle())
+    events = [
+        env.event(),
+        env.timeout(1),
+        process,
+        env._heap[0][3],  # the process's start event
+        Resource(env).request(),
+        PriorityResource(env).request(),
+        env.all_of([]),
+        env.any_of([]),
+    ]
+    for event in events:
+        assert not hasattr(event, "__dict__"), type(event).__name__
